@@ -274,6 +274,36 @@ class TestStage(Protocol):
         ...
 
 
+class _CoarseEpsilonMemo:
+    """One-entry memo of :func:`~repro.core.budget.coarse_epsilon`.
+
+    The coarse allocation depends on the preparation's delay model, the
+    measured paths, ``epsilon`` and the criticality kernel, never on the
+    chips, so every shard of a run can share one result.  The entry is
+    keyed by the preparation's identity and holds a reference to it, so the
+    identity cannot be reused by a later preparation.
+    """
+
+    def __init__(self) -> None:
+        self._entry: tuple | None = None
+
+    def get(
+        self, preparation: Preparation, measured, epsilon: float, kernel: str
+    ) -> np.ndarray:
+        entry = self._entry
+        if (
+            entry is not None
+            and entry[0] is preparation
+            and entry[1] == epsilon
+            and entry[2] == kernel
+        ):
+            return entry[3]
+        eps = coarse_epsilon(preparation.model, measured, epsilon, kernel=kernel)
+        eps.setflags(write=False)  # shared by every later shard
+        self._entry = (preparation, epsilon, kernel, eps)
+        return eps
+
+
 def _check_adaptive_context(
     preparation: Preparation, period: float | None, circuit: Circuit | None
 ) -> None:
@@ -315,6 +345,7 @@ class AlignedTestStage:
 
     def __init__(self, online: OnlineConfig | None = None):
         self.online = online or OnlineConfig()
+        self._coarse = _CoarseEpsilonMemo()
 
     def run(
         self,
@@ -385,11 +416,11 @@ class AlignedTestStage:
                 )
 
             eps_uniform = preparation.epsilon
-            eps_coarse = coarse_epsilon(
-                preparation.model,
+            eps_coarse = self._coarse.get(
+                preparation,
                 preparation.plan.measured,
                 eps_uniform,
-                kernel=online.criticality_kernel,
+                online.criticality_kernel,
             )
             coarse = aligned_test(population.required, eps_coarse)
             certified = certify_refinement(
@@ -448,6 +479,7 @@ class PathwiseTestStage:
 
     def __init__(self, online: OnlineConfig | None = None):
         self.online = online or OnlineConfig()
+        self._coarse = _CoarseEpsilonMemo()
 
     def run(
         self,
@@ -518,11 +550,8 @@ class PathwiseTestStage:
                 )
 
             eps_uniform = preparation.epsilon
-            eps_coarse = coarse_epsilon(
-                preparation.model,
-                all_paths,
-                eps_uniform,
-                kernel=online.criticality_kernel,
+            eps_coarse = self._coarse.get(
+                preparation, all_paths, eps_uniform, online.criticality_kernel
             )
             coarse = pathwise_test(population.required, eps_coarse)
             n_chips = coarse.lower.shape[0]

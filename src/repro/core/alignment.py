@@ -21,6 +21,21 @@ Three solvers are provided:
   ``formulation="paper"`` reproduces the big-M/0-1 encoding of eqs. 8–13
   verbatim, ``formulation="compact"`` the equivalent two-inequality
   absolute-value encoding.  Used for cross-checks and small flows.
+* :class:`CompiledAlignmentModel` — the same MILP built once and re-solved
+  for new centres and weights.
+
+The candidate sweep of :func:`solve_alignment` is where the online test
+spends its time.  A candidate value ``g`` for buffer ``b`` moves only the
+paths coupled to ``b`` (sources by ``+g``, sinks by ``-g``), so
+:func:`_candidate_medians` sorts the other paths once per call and places
+the moving ones by counting, instead of sorting every candidate row; the
+medians and therefore ``(T, x)`` are bit-identical to running
+:func:`~repro.opt.weighted_median.weighted_median_rows` on every candidate
+(``tests/core/test_alignment_oracle.py`` pins both against the retired
+sweep).  After a buffer's first evaluation, a chip is evaluated again only
+if one of its other buffers has moved since, because nothing else enters
+the result.  Only the final period is a weighted median of the whole
+batch.
 """
 
 from __future__ import annotations
@@ -249,14 +264,27 @@ def solve_alignment(
 
     masked_weights = np.where(np.isnan(centers), 0.0, weights)
 
-    period = weighted_median_rows(centers + spec.shift(x), masked_weights)
+    # A chip's new value for buffer b depends only on its other buffers:
+    # the shifted centres exclude x_b, and so do the feasible bounds (a
+    # chip with no feasible candidate keeps x_b, the value b last chose).
+    # So after b's first evaluation only the chips where another buffer
+    # moved since then are evaluated again.  ``seen[b]`` is x as b last
+    # saw it.
+    seen: list[np.ndarray | None] = [None] * spec.n_buffers
     for _ in range(sweeps):
         for b in range(spec.n_buffers):
-            period, _ = _improve_buffer(
-                spec, b, centers, masked_weights, x, period
-            )
-        period = weighted_median_rows(centers + spec.shift(x), masked_weights)
-    return period, x
+            if not ((spec.src_buffer == b) | (spec.snk_buffer == b)).any():
+                continue
+            if seen[b] is None:
+                x[:, b] = _improve_buffer(spec, b, centers, masked_weights, x)
+            else:
+                rows = np.flatnonzero((x != seen[b]).any(axis=1))
+                if rows.size:
+                    x[rows, b] = _improve_buffer(
+                        spec, b, centers[rows], masked_weights[rows], x[rows]
+                    )
+            seen[b] = x.copy()
+    return weighted_median_rows(centers + spec.shift(x), masked_weights), x
 
 
 _CHUNK = 1024  # chips per block in the candidate sweep (memory bound)
@@ -268,23 +296,25 @@ def _improve_buffer(
     centers: np.ndarray,
     weights: np.ndarray,
     x: np.ndarray,
-    period: np.ndarray,
-) -> tuple[np.ndarray, bool]:
+) -> np.ndarray:
     """Exact coordinate minimization of buffer ``b`` over its grid.
 
+    Returns every chip's new grid value for ``b``; ``x`` is only read.
     For every candidate grid value the clock period is re-optimized (the
     optimal ``T`` for fixed buffers is the weighted median of the shifted
-    centres), so each step minimizes the *joint* objective over
-    ``(T, x_b)`` — plain coordinate descent with ``T`` frozen stalls on the
-    symmetric in/out-pair case where moving ``x_b`` alone cannot help.
+    centres, from :func:`_candidate_medians`), so each step minimizes the
+    *joint* objective over ``(T, x_b)`` — plain coordinate descent with
+    ``T`` frozen stalls on the symmetric in/out-pair case where moving
+    ``x_b`` alone cannot help.  Each candidate's cost is a sum over the
+    last axis of a ``(chips, candidates, paths)`` tensor, whose rounding
+    decides between candidates on a plateau; the cheapest feasible
+    candidate wins, ties to the lowest index.  A chip with no feasible
+    candidate keeps the grid value nearest its current one.  The period
+    of the winner is not returned: :func:`solve_alignment` recomputes it
+    once from the final ``x``.
     """
-    affected_src = spec.src_buffer == b
-    affected_snk = spec.snk_buffer == b
-    if not affected_src.any() and not affected_snk.any():
-        return period, False
     grid = spec.grids[b]
-    n_chips, m = centers.shape
-    n_cand = len(grid)
+    n_chips = centers.shape[0]
 
     # Per-chip feasible interval from static bounds and pair constraints.
     lb = np.full(n_chips, spec.lower_bounds[b])
@@ -302,34 +332,21 @@ def _improve_buffer(
     x_zero = x.copy()
     x_zero[:, b] = 0.0
     partial = centers + spec.shift(x_zero)
-    sign = affected_src.astype(float) - affected_snk.astype(float)
+    sign = (spec.src_buffer == b).astype(float) - (spec.snk_buffer == b)
 
     best_k = np.zeros(n_chips, dtype=np.intp)
-    best_period = period.copy()
     for start in range(0, n_chips, _CHUNK):
-        stop = min(start + _CHUNK, n_chips)
-        block = slice(start, stop)
-        rows = stop - start
+        block = slice(start, min(start + _CHUNK, n_chips))
         shifted = (
             partial[block, None, :] + sign[None, None, :] * grid[None, :, None]
         )  # (rows, n_cand, m)
-        w_block = np.broadcast_to(
-            weights[block, None, :], (rows, n_cand, m)
-        ).reshape(-1, m)
-        medians = weighted_median_rows(
-            shifted.reshape(-1, m), w_block
-        ).reshape(rows, n_cand)
-        cost = np.nansum(
-            np.where(
-                np.isnan(shifted), 0.0,
-                weights[block, None, :] * np.abs(medians[:, :, None] - shifted),
-            ),
-            axis=2,
-        )
+        medians = _candidate_medians(partial[block], weights[block], sign, grid)
+        cost = np.where(
+            np.isnan(shifted), 0.0,
+            weights[block, None, :] * np.abs(medians[:, :, None] - shifted),
+        ).sum(axis=2)
         cost = np.where(feasible[block], cost, np.inf)
-        k = np.argmin(cost, axis=1)
-        best_k[block] = k
-        best_period[block] = medians[np.arange(rows), k]
+        best_k[block] = np.argmin(cost, axis=1)
 
     # If numerical tightening left a chip with no feasible candidate, keep
     # its current (feasible) value rather than jumping to an invalid one.
@@ -337,9 +354,95 @@ def _improve_buffer(
     if all_infeasible.any():
         current_k = np.argmin(np.abs(grid[None, :] - x[:, b : b + 1]), axis=1)
         best_k[all_infeasible] = current_k[all_infeasible]
-        best_period[all_infeasible] = period[all_infeasible]
-    x[:, b] = grid[best_k]
-    return best_period, True
+    return grid[best_k]
+
+
+def _candidate_medians(
+    values: np.ndarray, weights: np.ndarray, sign: np.ndarray, grid: np.ndarray
+) -> np.ndarray:
+    """Weighted median of ``values + sign * g`` for every candidate ``g``.
+
+    ``values``/``weights`` are ``(rows, m)``, ``sign`` is each path's ±1
+    coupling to the buffer (0 = the path does not move) and the result is
+    ``(rows, n_cand)``.  Every entry equals
+    :func:`~repro.opt.weighted_median.weighted_median_rows` of that
+    candidate's shifted row, bit for bit, without a sort per candidate:
+
+    * the mask and the weights do not depend on the candidate, nor does
+      the stable order of the paths that do not move, so those are sorted
+      once per call;
+    * each moving path is placed by counting the entries before it, by
+      value and then by column index (the tie rule of a stable argsort);
+    * the weights are then summed sequentially in that order, one
+      ``(n_cand, rows)`` plane per position, so the half-weight test sees
+      the same floats as ``weighted_median_rows``'s ``cumsum``.
+    """
+    rows, m = values.shape
+    n_cand = len(grid)
+    valid = ~(np.isnan(values) | (weights <= 0))
+    masked = np.where(valid, values, np.inf)
+    masked_weights = np.where(valid, weights, 0.0)
+    work = masked.T  # (m, rows): path i of every row is work[i]
+    moving = np.flatnonzero(sign)
+    still = np.flatnonzero(sign == 0)
+    n_still = still.size
+    count = np.min_scalar_type(m)  # positions and counts are below m
+    column = np.arange(rows)
+
+    # Per row, entry-major: the still entries in sorted order, then (for
+    # the weights) the moving ones by column, or (for the values) a spare
+    # entry so that a still rank one past the end stays in bounds.
+    order = np.argsort(work[still], axis=0, kind="stable")
+    picks = still[order] + column * m  # flat (rows, m) index, sorted
+    weight_table = np.concatenate(
+        [masked_weights.take(picks), masked_weights.T[moving]]
+    ).ravel()
+    value_table = np.concatenate(
+        [masked.take(picks), np.full((1, rows), np.inf)]
+    ).ravel()
+    moved = [work[i] + (sign[i] * grid)[:, None] for i in moving]
+
+    # Sorted position of each moving entry: the entries before it.
+    position = []
+    for a, i in enumerate(moving):
+        before = np.zeros((n_cand, rows), dtype=count)
+        for u in still:
+            ahead = work[u] <= moved[a] if u < i else work[u] < moved[a]
+            before += ahead.view(np.uint8)
+        position.append(before)
+    for a in range(len(moving)):
+        for a2 in range(a + 1, len(moving)):
+            first = moved[a] <= moved[a2]  # the lower column wins a tie
+            position[a2] += first.view(np.uint8)
+            position[a] += (~first).view(np.uint8)
+
+    # The entry at every position: the next still rank, unless a moving
+    # entry sits there.
+    slots = np.arange(m, dtype=count)[:, None, None]
+    entry = np.empty((m, n_cand, rows), dtype=count)
+    entry[...] = slots
+    for at in position:
+        entry -= (at < slots).view(np.uint8)
+    flat = np.arange(n_cand * rows).reshape(n_cand, rows)
+    for a, at in enumerate(position):
+        np.put(entry, at.astype(np.intp) * flat.size + flat, n_still + a)
+
+    # Sequential running sum of the weights in sorted order.
+    cumulative = weight_table.take(entry.astype(np.intp) * rows + column)
+    for p in range(1, m):
+        np.add(cumulative[p - 1], cumulative[p], out=cumulative[p])
+    total = cumulative[-1]
+    # First position whose running sum reaches half the total weight; the
+    # running sum never decreases, so that is the count of positions short.
+    median_at = (cumulative < 0.5 * total - 1e-15).sum(axis=0, dtype=count)
+
+    rank = median_at.copy()  # still rank at the median position
+    for at in position:
+        rank -= (at < median_at).view(np.uint8)
+    medians = value_table.take(rank.astype(np.intp) * rows + column)
+    for a, at in enumerate(position):
+        np.copyto(medians, moved[a], where=at == median_at)
+    return np.where(total > 0, medians, np.nan).T
 
 
 # ----------------------------------------------------------------------------

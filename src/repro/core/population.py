@@ -22,9 +22,10 @@ Two scaling mechanisms keep very large populations cheap:
   and streams the population through in chip shards, bounding the
   population-proportional working set — the per-batch ``(n_chips, m)``
   bound/center/weight arrays and their sort workspaces — independently of
-  the population size (the candidate sweep in ``_improve_buffer`` is
-  already chunked at 1024 chips).  Chips are mutually independent, so any
-  shard size produces identical results.
+  the population size (the alignment solver's candidate sweep blocks its
+  ``(chips, candidates, paths)`` cost tensor at 1024 chips by itself).
+  Chips are mutually independent, so any shard size produces identical
+  results.
 
 Iteration accounting matches the paper's: a chip pays one iteration for a
 batch whenever at least one of its paths in that batch is still unresolved.

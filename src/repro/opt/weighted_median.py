@@ -22,7 +22,11 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     paths share one tie-breaking rule bit for bit — the scalar ``testflow``
     engine and the population engine must pick the same median even when
     cumulative-weight rounding puts an entry within one ulp of half the
-    total weight.
+    total weight.  The candidate sweep of the alignment solver
+    (:func:`repro.core.alignment._candidate_medians`) reproduces that rule
+    itself — stable order by value then column, sequential running sum,
+    the same half-weight test — without calling this module;
+    ``tests/core/test_alignment_oracle.py`` pins the two together.
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)

@@ -7,6 +7,9 @@ trace of the scalar Procedure-2 reference implementation.
 import numpy as np
 import pytest
 
+from repro.api import Engine, OfflineConfig, OnlineConfig
+from repro.core import population as population_module
+from repro.core import sample_circuit
 from repro.core.population import (
     concat_population_test_results,
     run_batch_population,
@@ -15,6 +18,7 @@ from repro.core.population import test_population as run_test_population
 from repro.core.testflow import run_batch
 from repro.tester.oracle import ChipOracle
 from tests.core.test_testflow import simple_spec
+from tests.oracles import alignment_reference
 
 
 class TestRunBatchPopulation:
@@ -270,3 +274,24 @@ class TestTestPopulation:
         in_prior = (true >= prior_lo) & (true <= prior_hi)
         assert np.all(test.lower[in_prior] <= true[in_prior] + 1e-9)
         assert np.all(true[in_prior] <= test.upper[in_prior] + 1e-9)
+
+
+class TestAlignmentOracleDigest:
+    """The shipped candidate sweep reproduces the retired one end to end."""
+
+    @pytest.mark.parametrize("k0, kd", [(1000.0, 1.0), (7.3, 0.3)])
+    def test_digest_matches_oracle_sweep(
+        self, tiny_circuit, tiny_periods, monkeypatch, k0, kd
+    ):
+        chips = sample_circuit(tiny_circuit, 40, seed=17)
+        online = OnlineConfig(k0=k0, kd=kd, chip_shard_size=16)
+
+        def digest():
+            engine = Engine(offline=OfflineConfig(hold_samples=400), online=online)
+            return engine.run(tiny_circuit, chips, tiny_periods[0]).summary.digest()
+
+        shipped = digest()
+        monkeypatch.setattr(
+            population_module, "solve_alignment", alignment_reference.solve_alignment
+        )
+        assert digest() == shipped
